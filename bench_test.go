@@ -786,15 +786,42 @@ func BenchmarkAlltoallSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkRoutingWarm times the routing warm-up layer cold: every
+// iteration warms a fresh table's distance vectors toward all endpoints of
+// the Hx2Mesh (`small` under -short, the 16,384-endpoint `large` otherwise)
+// with PrecomputeParallel, the step the flow-level sweeps run before their
+// fan-out. The table's size is reported as MB/table.
+func BenchmarkRoutingWarm(b *testing.B) {
+	size := core.Large
+	if testing.Short() {
+		size = core.Small
+	}
+	c, err := core.NewByName("hx2mesh", size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workers := benchWorkers()
+	var tab *routing.Table
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tab = nil
+		runtime.GC()
+		tab = routing.NewTable(c.Comp)
+		b.StartTimer()
+		tab.PrecomputeParallel(c.Comp.Endpoints, workers)
+	}
+	b.ReportMetric(float64(tab.MemoryBytes())/(1<<20), "MB/table")
+}
+
 // BenchmarkFlowSolverLarge measures the paper's headline scale end to end:
 // a flow-level alltoall shift sweep on the 16,384-accelerator Hx2Mesh —
 // the cluster whose Table II numbers cost the paper ~0.6M SST core-hours.
-// The shared routing table is warmed in parallel outside the timed loop
-// (distance vectors; candidate DAGs stay under the table's budget,
-// routing.DefaultCandBudget, so peak memory is ~2 GB instead of the ~7 GB
-// of unbounded DAG caching); each iteration
-// then fans the per-shift incremental water-filling solves onto the pool.
-// Runs in CI under -short to pin the large-cluster trajectory across PRs.
+// The shared routing table's distance vectors are warmed outside the timed
+// loop (BenchmarkRoutingWarm times that layer); each iteration then fans
+// the per-shift incremental water-filling solves onto the pool, whose path
+// sampling scans the adjacency against those vectors. Runs in CI under
+// -short to pin the large-cluster trajectory across PRs.
 func BenchmarkFlowSolverLarge(b *testing.B) {
 	shifts := 4
 	if testing.Short() {

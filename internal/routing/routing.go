@@ -1,7 +1,7 @@
 // Package routing computes minimal adaptive routes on the topologies built
-// by internal/topo. For every destination it derives the all-shortest-path
-// DAG by breadth-first search; at each node the candidate next hops are the
-// ports whose peer is strictly closer to the destination. The simulator
+// by internal/topo. For every destination it derives the hop-distance
+// vector by breadth-first search; at each node the candidate next hops are
+// the ports whose peer is strictly closer to the destination. The simulator
 // picks among candidates adaptively (least-loaded output), which yields the
 // paper's routing behaviour on every topology:
 //
@@ -18,9 +18,15 @@
 //
 // Tables operate on the compiled flat-array network (internal/simcore):
 // distance vectors are cached in a dense per-node slice, so the per-packet
-// lookup in the simulator's hot loop is two array indexes. A Table is safe
-// for concurrent use — vectors are published through atomic pointers, which
-// lets the experiment runner share one table across parallel simulations.
+// lookup in the simulator's hot loop is two array indexes. The packet
+// simulator additionally caches each destination's candidate-port DAG
+// (Candidates); path sampling for the flow-level solver scans the
+// adjacency against the distance vector instead, so flow-path tables hold
+// distance vectors only. PrecomputeParallel warms many destinations at
+// once with a bit-parallel BFS (64 per sweep) fanned over cores. A Table
+// is safe for concurrent use — vectors are published through atomic
+// pointers, which lets the experiment runner share one table across
+// parallel simulations.
 //
 // Degraded fabrics (internal/faults) are first-class: NewTableMask builds a
 // table over a port-mask overlay, recomputing distance vectors and
@@ -53,11 +59,11 @@ func (e *ErrUnreachable) Error() string {
 const MaxVCs = 3
 
 // Table holds per-destination distance vectors and candidate-port lists,
-// computed lazily and cached in dense slices indexed by destination node
-// id. Construction is lock-free: workers that race on the same cold
-// destination each compute the vector and the first CompareAndSwap wins
-// (duplicate work is bounded and rare), so distinct destinations build
-// concurrently during parallel sweeps.
+// computed lazily (or warmed by PrecomputeParallel) and cached in dense
+// slices indexed by destination node id. Construction is lock-free:
+// workers that race on the same cold destination each compute the vector
+// and the first CompareAndSwap wins (duplicate work is bounded and rare),
+// so distinct destinations build concurrently during parallel sweeps.
 type Table struct {
 	C *simcore.Compiled
 
@@ -69,21 +75,10 @@ type Table struct {
 	dist []atomic.Pointer[[]int32]
 	cand []atomic.Pointer[candVec]
 
-	// candBytes approximates the memory held by cached candidate DAGs; the
-	// path sampler stops *adding* DAGs beyond candBudget (Candidates keeps
-	// building unconditionally — the packet simulator requires them).
-	candBytes  atomic.Int64
-	candBudget int64
+	// candBytes approximates the memory held by the candidate DAGs that
+	// Candidates has built (for MemoryBytes).
+	candBytes atomic.Int64
 }
-
-// DefaultCandBudget is the candidate-DAG cache memory (in bytes) that path
-// sampling is allowed to grow per table, snapshot into each Table at
-// construction (see Table.SetCandBudget). Sampling walks a cached DAG in
-// O(1) per hop; past the budget it falls back to an adjacency scan that
-// yields bit-identical paths, so on 16k-endpoint clusters — where DAGs for
-// every destination would cost several GiB — memory stays bounded while
-// small tables get the fast path for free.
-const DefaultCandBudget = int64(512 << 20)
 
 // candVec is the compiled shortest-path DAG toward one destination: the
 // minimal candidate output ports of node u are
@@ -102,18 +97,12 @@ func NewTable(c *simcore.Compiled) *Table { return NewTableMask(c, nil) }
 // scenario is a new table).
 func NewTableMask(c *simcore.Compiled, mask simcore.PortMask) *Table {
 	return &Table{
-		C:          c,
-		mask:       mask,
-		dist:       make([]atomic.Pointer[[]int32], c.NumNodes()),
-		cand:       make([]atomic.Pointer[candVec], c.NumNodes()),
-		candBudget: DefaultCandBudget,
+		C:    c,
+		mask: mask,
+		dist: make([]atomic.Pointer[[]int32], c.NumNodes()),
+		cand: make([]atomic.Pointer[candVec], c.NumNodes()),
 	}
 }
-
-// SetCandBudget overrides this table's candidate-DAG cache budget (bytes);
-// see DefaultCandBudget. Call it right after construction, before the
-// table is shared across goroutines.
-func (t *Table) SetCandBudget(bytes int64) { t.candBudget = bytes }
 
 // NewTableNet is a convenience constructor from a raw network (compiled via
 // the simcore cache).
@@ -198,7 +187,7 @@ func (t *Table) buildCand(dst topo.NodeID) *candVec {
 
 // MemoryBytes approximates the memory retained by the table's lazily
 // built caches: four bytes per entry of every cached distance vector plus
-// the candidate-DAG bytes already tracked against the sampling budget.
+// the candidate DAGs built by Candidates.
 // The value grows as the table warms, so callers that budget table memory
 // (runner.Pool's cluster cache) should re-estimate rather than snapshot.
 // Safe for concurrent use.
@@ -212,66 +201,96 @@ func (t *Table) MemoryBytes() int64 {
 	return 4*int64(built)*int64(t.C.NumNodes()) + t.candBytes.Load()
 }
 
-// candUnderBudget reports whether one more candidate DAG fits the table's
-// budget, using the worst-case per-destination footprint.
-func (t *Table) candUnderBudget() bool {
-	estimate := 4 * int64(t.C.NumNodes()+1+t.C.NumPorts()/2)
-	return t.candBytes.Load()+estimate <= t.candBudget
-}
-
-// Precompute fills the cache for the given destinations (useful before
-// timing-sensitive simulation loops or before sharing the table across
-// runner workers).
-func (t *Table) Precompute(dsts []topo.NodeID) {
-	for _, d := range dsts {
-		t.Dist(d)
-	}
-}
-
-// PrecomputeParallel warms the distance vectors — and, while the cache
-// fits the candidate budget, the candidate DAGs — of the given destinations, fanned
-// over the given number of goroutines. Vectors build lock-free (distinct
-// destinations never contend), so warming scales with cores; on the
-// 16k-endpoint clusters the serial warm-up dominates the first flow-level
-// solve and this cuts it by the worker count — and pre-warming avoids the
-// bounded-but-wasteful duplicate builds that racing cold sweep jobs would
-// otherwise perform.
+// PrecomputeParallel warms the distance vectors of the given destinations
+// (duplicates and already cached ones are skipped), fanned over the given
+// number of goroutines. The cold destinations are grouped into batches of
+// 64 nearby nodes, and each batch is one bit-parallel BFS
+// (simcore.BFSMulti); nearby sources reach most nodes at the same few
+// levels, so their bits travel together. Each vector is published through
+// the same CompareAndSwap as Dist, so warming may race with lazy lookups.
+// Pre-warming also spares racing cold sweep jobs the duplicate builds the
+// lock-free cache would otherwise let them perform.
 func (t *Table) PrecomputeParallel(dsts []topo.NodeID, workers int) {
-	if workers > len(dsts) {
-		workers = len(dsts)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	warm := func(d topo.NodeID) {
-		if t.cand[d].Load() == nil && t.candUnderBudget() {
-			t.buildCand(d) // builds the distance vector as a side effect
-		} else {
-			t.Dist(d)
-		}
-	}
-	if workers == 1 {
-		for _, d := range dsts {
-			warm(d)
-		}
-		return
-	}
+	cold := t.coldBatches(dsts)
+	batches := (len(cold) + 63) / 64
+	workers = max(1, min(workers, batches))
+	n := t.C.NumNodes()
 	var next atomic.Int64
+	warm := func() {
+		var s simcore.MultiBFSScratch
+		out := make([][]int32, 0, 64)
+		for {
+			b := int(next.Add(1) - 1)
+			if b >= batches {
+				return
+			}
+			srcs := cold[64*b : min(64*b+64, len(cold))]
+			out = out[:0]
+			for range srcs {
+				out = append(out, make([]int32, n))
+			}
+			t.C.BFSMulti(srcs, t.mask, out, &s)
+			for i, d := range srcs {
+				vec := out[i]
+				t.dist[d].CompareAndSwap(nil, &vec)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(dsts)) {
-					return
-				}
-				warm(dsts[i])
-			}
+			warm()
 		}()
 	}
+	warm()
 	wg.Wait()
+}
+
+// coldBatches returns the distinct destinations of dsts that have no cached
+// vector, ordered so that every run of 64 is a ball: an unmasked BFS from
+// the first remaining destination (in dsts order) collects the 63 closest
+// remaining ones. The order only groups sources into batches; it never
+// changes a vector.
+func (t *Table) coldBatches(dsts []topo.NodeID) []topo.NodeID {
+	c := t.C
+	want := make([]bool, c.NumNodes())
+	cold := 0
+	for _, d := range dsts {
+		if !want[d] && t.dist[d].Load() == nil {
+			want[d] = true
+			cold++
+		}
+	}
+	if cold == 0 {
+		return nil
+	}
+	order := make([]topo.NodeID, 0, cold)
+	visited := make([]int32, c.NumNodes()) // 1 + batch index of the last ball to visit
+	var queue []int32
+	for _, d := range dsts {
+		if !want[d] {
+			continue
+		}
+		ball := int32(len(order)/64 + 1)
+		visited[d] = ball
+		queue = append(queue[:0], int32(d))
+		for h := 0; h < len(queue) && len(order) < 64*int(ball); h++ {
+			u := queue[h]
+			if want[u] {
+				want[u] = false
+				order = append(order, topo.NodeID(u))
+			}
+			for p := c.PortOff[u]; p < c.PortOff[u+1]; p++ {
+				if v := c.Ports[p].To; visited[v] != ball {
+					visited[v] = ball
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return order
 }
 
 // NextPorts appends to buf the node-local indexes of ports on node `at`
@@ -349,46 +368,30 @@ func (t *Table) AppendSamplePathPorts(buf []topo.NodeID, portBuf []int32, src, d
 	if d[src] < 0 {
 		return nil, portBuf, &ErrUnreachable{From: src, To: dst}
 	}
-	// Prefer walking the precompiled candidate DAG: buildCand enumerates,
-	// per node, exactly the unmasked ports whose peer is one hop closer to
-	// dst, in port order — the same candidate set and order the adjacency
-	// scan below produces, at one slice index per hop. The DAG is built on
-	// first sample while the cache fits the table's budget; beyond it (16k-dst
-	// tables) the scan fallback keeps memory bounded with identical paths.
-	cv := t.cand[dst].Load()
-	if cv == nil && t.candUnderBudget() {
-		cv = t.buildCand(dst)
-	}
+	// Candidates are the unmasked ports whose peer is one hop closer to
+	// dst, in port order — the set and order Candidates compiles — found
+	// by scanning the node's ports against the distance vector. Masked
+	// ports are not candidates even when their peer is at the right
+	// distance (the peer may be reachable through a live port).
 	path := append(buf, src)
 	at := int32(src)
 	rng := seed
 	mask := t.mask
 	ports := t.C.Ports
-	// Candidate buffer for the scan fallback: the minimal fan-out is the
-	// node radix, so a fixed stack buffer covers all but degenerate nodes,
-	// which rescan for the picked candidate.
+	// The minimal fan-out is at most the node radix, so a fixed stack
+	// buffer covers all but degenerate nodes, which rescan for the pick.
 	var cbuf [64]int32
 	for at != int32(dst) {
-		var n int
-		var cands []int32
-		if cv != nil {
-			cands = cv.ports[cv.off[at]:cv.off[at+1]]
-			n = len(cands)
-		} else {
-			// Collect unmasked minimal ports in port order. Masked ports
-			// are not candidates even when their peer is at the right
-			// distance (the peer may be reachable through a live port).
-			want := d[at] - 1
-			off, end := t.C.PortRange(at)
-			for pid := off; pid < end; pid++ {
-				if !mask.Get(pid) && d[ports[pid].To] == want {
-					if n < len(cbuf) {
-						cbuf[n] = pid
-					}
-					n++
+		want := d[at] - 1
+		off, end := t.C.PortRange(at)
+		n := 0
+		for pid := off; pid < end; pid++ {
+			if d[ports[pid].To] == want && !mask.Get(pid) {
+				if n < len(cbuf) {
+					cbuf[n] = pid
 				}
+				n++
 			}
-			cands = cbuf[:min(n, len(cbuf))]
 		}
 		if n == 0 {
 			// Unreachable mid-walk cannot happen when the distance vector
@@ -398,19 +401,14 @@ func (t *Table) AppendSamplePathPorts(buf []topo.NodeID, portBuf []int32, src, d
 		}
 		rng = rng*6364136223846793005 + 1442695040888963407
 		pick := int(rng>>33) % n
-		var chosen int32
-		if pick < len(cands) {
-			chosen = cands[pick]
+		chosen := int32(-1)
+		if pick < len(cbuf) {
+			chosen = cbuf[pick]
 		} else {
-			// Wider-than-buffer fan-out in scan mode: rescan for the
-			// pick-th candidate.
-			want := d[at] - 1
-			off, end := t.C.PortRange(at)
-			for pid := off; pid < end; pid++ {
-				if !mask.Get(pid) && d[ports[pid].To] == want {
+			for pid := off; chosen < 0; pid++ {
+				if d[ports[pid].To] == want && !mask.Get(pid) {
 					if pick == 0 {
 						chosen = pid
-						break
 					}
 					pick--
 				}

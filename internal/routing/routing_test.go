@@ -144,7 +144,7 @@ func TestNextPortsVia(t *testing.T) {
 func TestPrecompute(t *testing.T) {
 	h := topo.NewHxMesh(1, 1, 4, 4, lp())
 	tab := NewTableNet(h.Network)
-	tab.Precompute(h.Endpoints)
+	tab.PrecomputeParallel(h.Endpoints, 1)
 	cached := 0
 	for i := range tab.dist {
 		if tab.dist[i].Load() != nil {
@@ -217,21 +217,41 @@ func TestUnreachableIsTypedError(t *testing.T) {
 	}
 }
 
-// TestSamplePathScanMatchesDAG pins the sampler's two modes against each
-// other: the candidate-DAG walk (tables under their candidate budget) and the
-// adjacency-scan fallback (tables over it) must produce identical paths
-// and port choices for equal seeds, on pristine and masked fabrics —
-// that equality is what lets the budget trade memory for speed without
-// changing any result.
+// dagWalk is the reference path sampler: the same rng draw sequence as
+// AppendSamplePathPorts, picking among the ports of the candidate DAG
+// that Table.Candidates compiles for the packet simulator.
+func dagWalk(t *Table, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, []int32, error) {
+	if !t.Reachable(src, dst) {
+		return nil, nil, &ErrUnreachable{From: src, To: dst}
+	}
+	path, ports := []topo.NodeID{src}, []int32{}
+	at, rng := int32(src), seed
+	for at != int32(dst) {
+		cands := t.Candidates(at, dst)
+		if len(cands) == 0 {
+			return nil, nil, &ErrUnreachable{From: topo.NodeID(at), To: dst}
+		}
+		rng = rng*6364136223846793005 + 1442695040888963407
+		chosen := cands[int(rng>>33)%len(cands)]
+		at = t.C.Ports[chosen].To
+		path = append(path, topo.NodeID(at))
+		ports = append(ports, chosen)
+	}
+	return path, ports, nil
+}
+
+// TestSamplePathScanMatchesDAG pins the sampler's adjacency scan against a
+// walk over the candidate DAGs the packet simulator uses: for equal seeds
+// both must produce identical paths and port choices, on pristine and
+// masked fabrics — so the flow and packet paths agree on the route set
+// without the flow path caching any DAG.
 func TestSamplePathScanMatchesDAG(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
 	c := simcore.Compile(h.Network)
 	mask := simcore.NewPortMask(c.NumPorts())
 	mask.Set(c.PortID(int32(c.Switches[0]), 1))
 	for _, m := range []simcore.PortMask{nil, mask} {
-		dag := NewTableMask(c, m)
-		scan := NewTableMask(c, m)
-		scan.SetCandBudget(0) // scan table never caches candidate DAGs
+		tab := NewTableMask(c, m)
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 200; trial++ {
 			src := h.Endpoints[rng.Intn(len(h.Endpoints))]
@@ -240,8 +260,8 @@ func TestSamplePathScanMatchesDAG(t *testing.T) {
 				continue
 			}
 			seed := rng.Uint64()
-			p1, ports1, err1 := dag.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-			p2, ports2, err2 := scan.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
+			p1, ports1, err1 := dagWalk(tab, src, dst, seed)
+			p2, ports2, err2 := tab.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("trial %d: err mismatch %v vs %v", trial, err1, err2)
 			}
@@ -265,10 +285,9 @@ func TestSamplePathScanMatchesDAG(t *testing.T) {
 	}
 }
 
-// TestSamplePathScanWideFanout exercises the scan fallback's rescan branch
-// for nodes whose minimal fan-out overflows the fixed candidate buffer
-// (>64 candidates — trunked links on over-budget tables, the 16k-cluster
-// case the budget exists for), pinning it against the DAG walk.
+// TestSamplePathScanWideFanout exercises the scan's rescan branch for nodes
+// whose minimal fan-out overflows the fixed candidate buffer (>64
+// candidates — trunked links), pinning it against the DAG walk.
 func TestSamplePathScanWideFanout(t *testing.T) {
 	n := &topo.Network{Name: "widefanout"}
 	src := n.AddNode(topo.Endpoint)
@@ -281,13 +300,11 @@ func TestSamplePathScanWideFanout(t *testing.T) {
 	}
 	n.Link(b, dst, topo.PCB, 50, 20)
 	c := simcore.Compile(n)
-	dag := NewTableMask(c, nil)
-	scan := NewTableMask(c, nil)
-	scan.SetCandBudget(0)
+	tab := NewTableMask(c, nil)
 	sawRescan := false
 	for seed := uint64(0); seed < 300; seed++ {
-		p1, ports1, err1 := dag.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
-		p2, ports2, err2 := scan.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
+		p1, ports1, err1 := dagWalk(tab, src, dst, seed)
+		p2, ports2, err2 := tab.AppendSamplePathPorts(nil, []int32{}, src, dst, seed)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("seed %d: errors %v / %v", seed, err1, err2)
 		}
@@ -307,5 +324,64 @@ func TestSamplePathScanWideFanout(t *testing.T) {
 	}
 	if !sawRescan {
 		t.Fatal("no seed exercised the >64-candidate rescan branch")
+	}
+}
+
+// TestPrecomputeParallelMatchesLazy pins the batched warm-up against the
+// lazy per-destination BFS: tables warmed with 1, 2 and 8 workers hold the
+// vectors Dist computes on demand, entry for entry, on pristine and masked
+// fabrics, with more destinations than one 64-wide batch, duplicate
+// destinations, and a partly warm table whose cached vectors stay in place.
+func TestPrecomputeParallelMatchesLazy(t *testing.T) {
+	nets := []*topo.Network{
+		topo.NewHxMesh(2, 2, 4, 4, lp()).Network,
+		topo.NewTorus2D(8, 8, 2, 2, lp()),
+	}
+	for _, n := range nets {
+		c := simcore.Compile(n)
+		mask := simcore.NewPortMask(c.NumPorts())
+		rng := rand.New(rand.NewSource(3))
+		for k := 0; k < c.NumPorts()/10; k++ {
+			mask.Set(int32(rng.Intn(c.NumPorts()))) // one-direction faults
+		}
+		// Every node is a destination (endpoints and switches), listed
+		// twice in shuffled order.
+		dsts := make([]topo.NodeID, 0, 2*c.NumNodes())
+		for v := 0; v < c.NumNodes(); v++ {
+			dsts = append(dsts, topo.NodeID(v), topo.NodeID(v))
+		}
+		rng.Shuffle(len(dsts), func(i, j int) { dsts[i], dsts[j] = dsts[j], dsts[i] })
+		for _, m := range []simcore.PortMask{nil, mask} {
+			lazy := NewTableMask(c, m)
+			for _, workers := range []int{1, 2, 8} {
+				warm := NewTableMask(c, m)
+				pre := map[topo.NodeID]*[]int32{}
+				if workers == 2 {
+					for _, d := range dsts[:10] {
+						warm.Dist(d)
+						pre[d] = warm.dist[d].Load()
+					}
+				}
+				warm.PrecomputeParallel(dsts, workers)
+				for d, p := range pre {
+					if warm.dist[d].Load() != p {
+						t.Fatalf("%s: warm-up replaced the cached vector of %d", n.Name, d)
+					}
+				}
+				for v := 0; v < c.NumNodes(); v++ {
+					got := warm.dist[v].Load()
+					if got == nil {
+						t.Fatalf("%s workers=%d: vector %d not warmed", n.Name, workers, v)
+					}
+					want := lazy.Dist(topo.NodeID(v))
+					for u := range want {
+						if (*got)[u] != want[u] {
+							t.Fatalf("%s workers=%d masked=%v: dist[%d][%d] = %d, lazy %d",
+								n.Name, workers, m != nil, v, u, (*got)[u], want[u])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -303,6 +303,107 @@ func (c *Compiled) BFSFromMask(src topo.NodeID, mask PortMask) []int32 {
 	return dist
 }
 
+// MultiBFSScratch is the per-node working memory of BFSMulti: one "seen"
+// word and two frontier words (this level's and the next) per node, one
+// bit per source, the frontier node lists, and a 64-entry level row per
+// node. Reusing one scratch
+// across calls avoids allocating it per batch; a scratch serves one
+// goroutine at a time. The zero value is ready to use.
+type MultiBFSScratch struct {
+	seen, front, next []uint64
+	cur, nxt          []int32
+	// lvl[64*v+i] is the level at which source i reached node v, valid
+	// where seen[v] has bit i.
+	lvl []int32
+}
+
+// BFSMulti computes BFSFromMask(srcs[i], mask) into out[i] for up to 64
+// sources at once, the bit-parallel multi-source BFS of Then et al. ("The
+// More the Merrier", VLDB 2014): every node carries a word of seen bits
+// and a word of frontier bits, one bit per source, and each level extends
+// all sources' frontiers until no bit grows. A level pushes from the nodes
+// whose frontier word is non-zero, so a node costs one port scan per
+// distinct distance at which the batch's sources reach it — few when the
+// sources are close together. The edge from u into v over port p counts
+// only when the reverse port (v's port toward u) is unmasked, exactly as
+// in BFSFromMask. Each out[i] must have NumNodes entries; every entry is
+// overwritten, with -1 where srcs[i] is unreachable. Duplicate sources are
+// allowed. s may be nil.
+func (c *Compiled) BFSMulti(srcs []topo.NodeID, mask PortMask, out [][]int32, s *MultiBFSScratch) {
+	if len(srcs) > 64 || len(out) != len(srcs) {
+		panic("simcore: BFSMulti needs at most 64 sources and one output per source")
+	}
+	if s == nil {
+		s = new(MultiBFSScratch)
+	}
+	n := c.NumNodes()
+	if len(s.seen) != n {
+		s.seen, s.front, s.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		s.lvl = make([]int32, 64*n)
+	} else {
+		clear(s.seen)
+		clear(s.front)
+		clear(s.next)
+	}
+	seen, front, next, lvl := s.seen, s.front, s.next, s.lvl
+	cur, nxt := s.cur[:0], s.nxt[:0]
+	for i, src := range srcs {
+		if front[src] == 0 {
+			cur = append(cur, int32(src))
+		}
+		front[src] |= 1 << uint(i)
+		seen[src] |= 1 << uint(i)
+		lvl[64*int(src)+i] = 0
+	}
+	ports := c.Ports
+	for level := int32(1); len(cur) > 0; level++ {
+		nxt = nxt[:0]
+		for _, u := range cur {
+			f := front[u]
+			front[u] = 0
+			for p := c.PortOff[u]; p < c.PortOff[u+1]; p++ {
+				if mask != nil && mask.Get(ports[p].Rev) {
+					continue
+				}
+				v := ports[p].To
+				nb := f &^ seen[v]
+				if nb == 0 {
+					continue
+				}
+				if next[v] == 0 {
+					nxt = append(nxt, v)
+				}
+				next[v] |= nb
+				seen[v] |= nb
+			}
+		}
+		for _, v := range nxt {
+			row := lvl[64*int(v):]
+			for w := next[v]; w != 0; w &= w - 1 {
+				row[bits.TrailingZeros64(w)] = level
+			}
+		}
+		front, next = next, front
+		cur, nxt = nxt, cur
+	}
+	s.front, s.next, s.cur, s.nxt = front, next, cur, nxt
+	// Levels are recorded per node, where a node's row is one contiguous
+	// write, and copied out in blocks of 16 nodes: one cache line of each
+	// output vector per block instead of one scattered write per bit.
+	for v0 := 0; v0 < n; v0 += 16 {
+		v1 := min(v0+16, n)
+		for i, o := range out {
+			for v := v0; v < v1; v++ {
+				if seen[v]&(1<<uint(i)) != 0 {
+					o[v] = lvl[64*v+i]
+				} else {
+					o[v] = -1
+				}
+			}
+		}
+	}
+}
+
 // cache maps *topo.Network to its Compiled form so that the many call sites
 // that build simulators straight from a Network share one compilation.
 var cache sync.Map // *topo.Network -> *Compiled

@@ -10,6 +10,7 @@
 #   TraceOverhead/off|on instrumentation cost: off must be 0 allocs/op
 #   AlltoallSweep        pooled packet-level alltoall shift sweep
 #   AlltoallSweepFaulted the same sweep on a 10%-degraded fabric
+#   RoutingWarm          cold routing warm-up (PrecomputeParallel) on Hx2Mesh
 #   FlowSolverLarge      flow-level alltoall on the 16,384-endpoint Hx2Mesh
 #   DaemonHit            hxd repeat-request path: HTTP + cache hit
 #   DaemonDistinct       hxd miss path: canonicalize + batch + pool
@@ -32,7 +33,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_PR10.json}"
 raw="bench-raw.txt"
 args=(-run '^$'
-  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimQueue$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkFlowSolverLarge$'
+  -bench 'BenchmarkPacketSim$|BenchmarkPacketSimQueue$|BenchmarkPacketSimShards$|BenchmarkTraceOverhead$|BenchmarkAlltoallSweep$|BenchmarkAlltoallSweepFaulted$|BenchmarkRoutingWarm$|BenchmarkFlowSolverLarge$'
   -benchmem -benchtime "${BENCHTIME:-1x}")
 if [ "${SHORT:-1}" = "1" ]; then
   args+=(-short)
