@@ -104,7 +104,15 @@ func main() {
 	// smoke tests) can bind to :0 and parse the chosen port.
 	fmt.Printf("hxd listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s}
+	// Slow or idle clients cannot hold connections open indefinitely. No
+	// read or write timeout: a large experiment legitimately computes for
+	// longer than any fixed bound, and the serve handler caps request
+	// bodies itself.
+	srv := &http.Server{
+		Handler:           s,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 

@@ -115,8 +115,8 @@ func TestTwoRingsOnHxMeshMapping(t *testing.T) {
 	}
 	// Every consecutive pair must be within 3 links (accel-switch-accel at
 	// most, or 1 on-board link).
-	tab := routing.NewTableNet(h.Network)
-	dist := func(a, b topo.NodeID) int { return tab.PathLen(a, b) }
+	tab := routing.NewTable(simcore.Of(h.Network))
+	dist := func(a, b topo.NodeID) int { return int(tab.Dist(b)[a]) }
 	if got := RingLinkStress(dist, r1); got > 3 {
 		t.Errorf("ring1 max edge distance = %d, want ≤3", got)
 	}

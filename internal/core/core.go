@@ -151,9 +151,9 @@ func (c *Cluster) SampleFaults(linkFrac float64, boards int, seed int64) (*fault
 
 // MemoryBytes estimates the resident size of the cluster's shared
 // immutable state: the compiled network's flat per-port/per-node arrays
-// plus the routing table's lazily built caches. The table part grows as
-// experiments warm it, so the estimate should be re-read, not snapshot —
-// runner.Pool budgets its cluster cache against this value.
+// plus the routing table's lazily built distance vectors. The table part
+// grows as experiments warm it, so the estimate should be re-read, not
+// snapshot — runner.Pool budgets its cluster cache against this value.
 func (c *Cluster) MemoryBytes() int64 {
 	// Ports + Owner + GroupOf + GroupPorts are the per-port arrays
 	// (~28 B/port); PortOff, Kind, ranks and group offsets are per node

@@ -709,13 +709,15 @@ func (s *Sim) arrive(ev event, x exec) error {
 }
 
 // pickOutput selects among minimal candidate ports per the Choice policy.
-// The candidates come precompiled from the routing table (port order), so
-// the per-packet work is a scan over 1-4 channel ids. On a degraded fabric
+// The candidates (port order) are read from the destination's distance
+// vector by a scan of the node's ports into a stack buffer, so the
+// per-packet work is one pass over the node's radix. On a degraded fabric
 // the candidate set excludes masked ports by construction; an empty set
 // means the target was cut off, reported as a typed *routing.ErrUnreachable
 // (this used to panic).
 func (s *Sim) pickOutput(node, dst int32) (int32, error) {
-	cands := s.table.Candidates(node, topo.NodeID(dst))
+	var buf [64]int32
+	cands := s.table.AppendCandidates(buf[:0], node, topo.NodeID(dst))
 	switch s.cfg.Choice {
 	case FirstCandidate:
 		if len(cands) > 0 {

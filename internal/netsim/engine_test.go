@@ -277,3 +277,77 @@ func TestAlltoallShareConcurrent(t *testing.T) {
 		t.Errorf("concurrent share %.3f out of range", conc)
 	}
 }
+
+// TestPickOutputWideTrunk drives pickOutput past its 64-entry stack buffer:
+// a switch with a 70-wide trunk toward the destination has 70 minimal
+// candidates, so the candidate scan spills through append. Every Choice
+// policy must pick what it would pick from the table's Candidates, picks
+// past the 64th candidate included, and a run over the trunk must use them.
+func TestPickOutputWideTrunk(t *testing.T) {
+	n := &topo.Network{Name: "widetrunk"}
+	src := n.AddNode(topo.Endpoint)
+	a := n.AddNode(topo.Switch)
+	b := n.AddNode(topo.Switch)
+	dst := n.AddNode(topo.Endpoint)
+	n.Link(src, a, topo.PCB, 50, 20)
+	for i := 0; i < 70; i++ {
+		n.Link(a, b, topo.PCB, 50, 20)
+	}
+	n.Link(b, dst, topo.PCB, 50, 20)
+	c := simcore.Compile(n)
+
+	newSim := func(choice Choice) *Sim {
+		cfg := DefaultConfig()
+		cfg.Choice, cfg.Seed, cfg.CollectLinkStats = choice, 9, true
+		return New(c, nil, cfg)
+	}
+	cands := newSim(LeastQueued).table.Candidates(int32(a), dst)
+	if len(cands) != 70 {
+		t.Fatalf("%d candidates across the trunk, want 70", len(cands))
+	}
+
+	sim := newSim(LeastQueued)
+	for _, ci := range cands {
+		sim.channels[ci].queuedB = 100
+	}
+	sim.channels[cands[67]].queuedB = 0
+	if got, err := sim.pickOutput(int32(a), int32(dst)); err != nil || got != cands[67] {
+		t.Fatalf("LeastQueued picked %d (%v), want the idle 68th candidate %d", got, err, cands[67])
+	}
+
+	sim = newSim(FirstCandidate)
+	if got, err := sim.pickOutput(int32(a), int32(dst)); err != nil || got != cands[0] {
+		t.Fatalf("FirstCandidate picked %d (%v), want %d", got, err, cands[0])
+	}
+
+	sim = newSim(RandomCandidate)
+	ref := rand.New(rand.NewSource(9))
+	spilled := false
+	for i := 0; i < 200; i++ {
+		k := ref.Intn(len(cands))
+		got, err := sim.pickOutput(int32(a), int32(dst))
+		if err != nil || got != cands[k] {
+			t.Fatalf("draw %d: RandomCandidate picked %d (%v), want candidate %d = %d", i, got, err, k, cands[k])
+		}
+		spilled = spilled || k >= 64
+	}
+	if !spilled {
+		t.Fatal("no random draw landed past the 64th candidate")
+	}
+
+	sim = newSim(RandomCandidate)
+	res, err := sim.Run([]Flow{{Src: src, Dst: dst, Bytes: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalBytes != 1<<20 {
+		t.Fatalf("delivered %d bytes, want %d", res.TotalBytes, 1<<20)
+	}
+	var past64 int64
+	for _, ci := range cands[64:] {
+		past64 += res.LinkBytes[ci]
+	}
+	if past64 == 0 {
+		t.Fatal("no bytes crossed the trunk channels past the 64th candidate")
+	}
+}

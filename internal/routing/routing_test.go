@@ -12,9 +12,18 @@ import (
 
 func lp() topo.LinkParams { return topo.DefaultLinkParams() }
 
-func TestNextPortsDecreaseDistance(t *testing.T) {
+// newTable builds a pristine table straight from a network.
+func newTable(n *topo.Network) *Table { return NewTable(simcore.Of(n)) }
+
+// samplePath is AppendSamplePathPorts into fresh buffers, without ports.
+func samplePath(t *Table, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, error) {
+	path, _, err := t.AppendSamplePathPorts(nil, nil, src, dst, seed)
+	return path, err
+}
+
+func TestCandidatesDecreaseDistance(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
-	tab := NewTableNet(h.Network)
+	tab := newTable(h.Network)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		src := h.Endpoints[rng.Intn(len(h.Endpoints))]
@@ -23,14 +32,14 @@ func TestNextPortsDecreaseDistance(t *testing.T) {
 			continue
 		}
 		d := tab.Dist(dst)
-		ports := tab.NextPorts(src, dst, nil)
+		ports := tab.Candidates(int32(src), dst)
 		if len(ports) == 0 {
 			t.Fatalf("no next ports from %d to %d", src, dst)
 		}
-		for _, pi := range ports {
-			peer := h.Nodes[src].Ports[pi].To
+		for _, pid := range ports {
+			peer := tab.C.Ports[pid].To
 			if d[peer] != d[src]-1 {
-				t.Fatalf("port %d does not decrease distance", pi)
+				t.Fatalf("port %d does not decrease distance", pid)
 			}
 		}
 	}
@@ -45,19 +54,22 @@ func TestSamplePathIsShortestWalk(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range nets {
-		tab := NewTableNet(n)
+		tab := newTable(n)
 		for trial := 0; trial < 50; trial++ {
 			src := n.Endpoints[rng.Intn(len(n.Endpoints))]
 			dst := n.Endpoints[rng.Intn(len(n.Endpoints))]
-			path := tab.SamplePath(src, dst, uint64(trial))
+			path, err := samplePath(tab, src, dst, uint64(trial))
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
 			if src == dst {
 				if len(path) != 1 {
 					t.Fatalf("%s: self path length %d", n.Name, len(path))
 				}
 				continue
 			}
-			if len(path) != tab.PathLen(src, dst)+1 {
-				t.Fatalf("%s: path length %d != shortest %d", n.Name, len(path)-1, tab.PathLen(src, dst))
+			if want := int(tab.Dist(dst)[src]); len(path) != want+1 {
+				t.Fatalf("%s: path length %d != shortest %d", n.Name, len(path)-1, want)
 			}
 			// Consecutive nodes must be adjacent.
 			for i := 0; i+1 < len(path); i++ {
@@ -80,10 +92,13 @@ func TestHxMeshIntermediateBoardPath(t *testing.T) {
 	// Cross-row cross-column traffic must pass through an intermediate
 	// board's accelerators or through two dimension networks (§IV-C2).
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
-	tab := NewTableNet(h.Network)
+	tab := newTable(h.Network)
 	src := h.Accel(0, 0) // board (0,0)
 	dst := h.Accel(7, 7) // board (3,3)
-	path := tab.SamplePath(src, dst, 3)
+	path, err := samplePath(tab, src, dst, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	switches := 0
 	for _, id := range path {
 		if h.Nodes[id].Kind == topo.Switch {
@@ -99,11 +114,14 @@ func TestVCPolicyBounded(t *testing.T) {
 	// Property: along any sampled path, the VC never exceeds MaxVCs-1 and
 	// never decreases.
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
-	tab := NewTableNet(h.Network)
+	tab := newTable(h.Network)
 	f := func(s8, d8 uint8, seed uint64) bool {
 		src := h.Endpoints[int(s8)%len(h.Endpoints)]
 		dst := h.Endpoints[int(d8)%len(h.Endpoints)]
-		path := tab.SamplePath(src, dst, seed)
+		path, err := samplePath(tab, src, dst, seed)
+		if err != nil {
+			return false
+		}
 		vc := int8(0)
 		for i := 0; i+1 < len(path); i++ {
 			nvc := VCPolicy(tab.C, int32(path[i]), int32(path[i+1]), vc)
@@ -119,31 +137,9 @@ func TestVCPolicyBounded(t *testing.T) {
 	}
 }
 
-func TestNextPortsVia(t *testing.T) {
-	n := topo.NewDragonfly(topo.DragonflyConfig{A: 4, P: 2, H: 2, G: 5, LP: lp()})
-	tab := NewTableNet(n)
-	src, mid, dst := n.Endpoints[0], n.Endpoints[20], n.Endpoints[39]
-	// Walk hop by hop via mid; total hops must equal d(src,mid)+d(mid,dst).
-	at, reached := src, false
-	hops := 0
-	for at != dst && hops < 100 {
-		var ports []int
-		ports, reached = tab.NextPortsVia(at, mid, dst, reached, nil)
-		if len(ports) == 0 {
-			t.Fatal("stuck")
-		}
-		at = n.Nodes[at].Ports[ports[0]].To
-		hops++
-	}
-	want := tab.PathLen(src, mid) + tab.PathLen(mid, dst)
-	if hops != want {
-		t.Errorf("valiant walk took %d hops, want %d", hops, want)
-	}
-}
-
 func TestPrecompute(t *testing.T) {
 	h := topo.NewHxMesh(1, 1, 4, 4, lp())
-	tab := NewTableNet(h.Network)
+	tab := newTable(h.Network)
 	tab.PrecomputeParallel(h.Endpoints, 1)
 	cached := 0
 	for i := range tab.dist {
@@ -170,9 +166,9 @@ func TestMaskedTableRoutesAroundFailures(t *testing.T) {
 		if dst == 0 {
 			continue
 		}
-		cands, err := tab.CandidatesErr(0, dst)
-		if err != nil {
-			t.Fatalf("dst %d unreachable after one link failure: %v", dst, err)
+		cands := tab.Candidates(0, dst)
+		if len(cands) == 0 {
+			t.Fatalf("dst %d unreachable after one link failure", dst)
 		}
 		for _, ci := range cands {
 			if ci == pid {
@@ -180,8 +176,8 @@ func TestMaskedTableRoutesAroundFailures(t *testing.T) {
 			}
 		}
 	}
-	if got := tab.SamplePath(0, h.Endpoints[5], 3); got == nil {
-		t.Fatal("sample path nil on reachable pair")
+	if got, err := samplePath(tab, 0, h.Endpoints[5], 3); got == nil || err != nil {
+		t.Fatalf("sample path %v, %v on reachable pair", got, err)
 	}
 }
 
@@ -199,35 +195,60 @@ func TestUnreachableIsTypedError(t *testing.T) {
 	if tab.Reachable(0, 7) {
 		t.Fatal("cut-off endpoint reported reachable")
 	}
+	if got := tab.Candidates(0, 7); len(got) != 0 {
+		t.Fatalf("Candidates toward a cut-off endpoint = %v, want none", got)
+	}
 	var unreach *ErrUnreachable
-	if _, err := tab.CandidatesErr(0, 7); !errors.As(err, &unreach) {
-		t.Fatalf("CandidatesErr = %v, want *ErrUnreachable", err)
+	path, _, err := tab.AppendSamplePathPorts(nil, nil, 0, 7, 1)
+	if !errors.As(err, &unreach) || path != nil {
+		t.Fatalf("AppendSamplePathPorts = %v, %v, want nil, *ErrUnreachable", path, err)
 	}
 	if unreach.From != 0 || unreach.To != 7 {
 		t.Fatalf("error carries %d->%d, want 0->7", unreach.From, unreach.To)
 	}
-	if _, err := tab.SamplePathErr(0, 7, 1); !errors.As(err, &unreach) {
-		t.Fatalf("SamplePathErr = %v, want *ErrUnreachable", err)
-	}
-	if _, err := tab.NextPortsErr(0, 7, nil); !errors.As(err, &unreach) {
-		t.Fatalf("NextPortsErr = %v, want *ErrUnreachable", err)
-	}
-	if got := tab.PathLen(0, 7); got != -1 {
-		t.Fatalf("PathLen = %d, want -1", got)
+	if got := tab.Dist(7)[0]; got != -1 {
+		t.Fatalf("Dist = %d, want -1", got)
 	}
 }
 
+// refCandidates is the reference candidate rule, compiled as a whole
+// shortest-path DAG toward dst: for every node u, the unmasked ports whose
+// peer is one hop closer to dst, in port order, from a distance vector
+// computed here by its own masked BFS. dst itself and nodes that cannot
+// reach it have no candidates.
+func refCandidates(t *Table, dst topo.NodeID) [][]int32 {
+	c := t.C
+	d := c.BFSFromMask(dst, t.Mask())
+	cands := make([][]int32, c.NumNodes())
+	for u := 0; u < c.NumNodes(); u++ {
+		if int32(u) == int32(dst) || d[u] < 0 {
+			continue
+		}
+		want := d[u] - 1
+		off, end := c.PortRange(int32(u))
+		for pid := off; pid < end; pid++ {
+			if t.Mask().Get(pid) {
+				continue
+			}
+			if d[c.Ports[pid].To] == want {
+				cands[u] = append(cands[u], pid)
+			}
+		}
+	}
+	return cands
+}
+
 // dagWalk is the reference path sampler: the same rng draw sequence as
-// AppendSamplePathPorts, picking among the ports of the candidate DAG
-// that Table.Candidates compiles for the packet simulator.
+// AppendSamplePathPorts, picking among the refCandidates of every hop.
 func dagWalk(t *Table, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, []int32, error) {
 	if !t.Reachable(src, dst) {
 		return nil, nil, &ErrUnreachable{From: src, To: dst}
 	}
+	dag := refCandidates(t, dst)
 	path, ports := []topo.NodeID{src}, []int32{}
 	at, rng := int32(src), seed
 	for at != int32(dst) {
-		cands := t.Candidates(at, dst)
+		cands := dag[at]
 		if len(cands) == 0 {
 			return nil, nil, &ErrUnreachable{From: topo.NodeID(at), To: dst}
 		}
@@ -241,10 +262,10 @@ func dagWalk(t *Table, src, dst topo.NodeID, seed uint64) ([]topo.NodeID, []int3
 }
 
 // TestSamplePathScanMatchesDAG pins the sampler's adjacency scan against a
-// walk over the candidate DAGs the packet simulator uses: for equal seeds
+// walk over the reference candidate DAG (refCandidates): for equal seeds
 // both must produce identical paths and port choices, on pristine and
-// masked fabrics — so the flow and packet paths agree on the route set
-// without the flow path caching any DAG.
+// masked fabrics — so the flow path and the packet path (AppendCandidates,
+// pinned to the same reference) agree on the route set.
 func TestSamplePathScanMatchesDAG(t *testing.T) {
 	h := topo.NewHxMesh(2, 2, 4, 4, lp())
 	c := simcore.Compile(h.Network)
@@ -287,7 +308,7 @@ func TestSamplePathScanMatchesDAG(t *testing.T) {
 
 // TestSamplePathScanWideFanout exercises the scan's rescan branch for nodes
 // whose minimal fan-out overflows the fixed candidate buffer (>64
-// candidates — trunked links), pinning it against the DAG walk.
+// candidates — trunked links), pinning it against the reference DAG walk.
 func TestSamplePathScanWideFanout(t *testing.T) {
 	n := &topo.Network{Name: "widefanout"}
 	src := n.AddNode(topo.Endpoint)

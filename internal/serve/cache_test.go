@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hammingmesh/internal/obs"
 )
 
 // The result cache's accounted bytes must never exceed its budget, and
@@ -149,7 +151,7 @@ func TestBatcherBackpressureAndDrain(t *testing.T) {
 // The metrics registry renders deterministic Prometheus text exposition:
 // families sorted, labeled series, cumulative histogram buckets.
 func TestMetricsExposition(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("hxd_zeta_total", "", "z").Add(3)
 	r.Counter("hxd_alpha_total", `kind="a"`, "a").Inc()
 	r.Counter("hxd_alpha_total", `kind="b"`, "a").Add(2)

@@ -328,3 +328,46 @@ func TestServeBackpressureAndBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// A body beyond maxRequestBytes is refused with 413 and a JSON error
+// without being decoded, and counted as a failed request; a body just
+// under the bound still decodes (and fails as an ordinary bad request).
+func TestServeRejectsOversizedBody(t *testing.T) {
+	computed := atomic.Int64{}
+	s := mustNew(t, Config{Compute: func(cn *Canon) ([]byte, error) {
+		computed.Add(1)
+		return cn.CanonicalJSON(), nil
+	}})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// A valid request behind whitespace padding past the bound: only its
+	// size makes it invalid.
+	valid := `{"kind":"alltoall_flow","topo":"hx2mesh","size":"tiny"}`
+	big := strings.Repeat(" ", maxRequestBytes) + valid
+	code, body, _ := post(t, ts.URL, big)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413 (%s)", code, body)
+	}
+	var msg map[string]string
+	if err := json.Unmarshal(body, &msg); err != nil || msg["error"] == "" {
+		t.Fatalf("oversized body: reply %q is not a JSON error", body)
+	}
+	if computed.Load() != 0 {
+		t.Fatal("oversized body reached the computation")
+	}
+	var b bytes.Buffer
+	s.Metrics().Render(&b)
+	if want := `hxd_requests_total{kind="unknown",status="too_large"} 1`; !strings.Contains(b.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, b.String())
+	}
+
+	under := strings.Repeat(" ", maxRequestBytes-len(`{"kind":"nope"}`)) + `{"kind":"nope"}`
+	if code, body, _ := post(t, ts.URL, under); code != http.StatusBadRequest {
+		t.Fatalf("body at the bound: status %d, want 400 (%s)", code, body)
+	}
+	if code, body, _ := post(t, ts.URL, valid); code != http.StatusOK {
+		t.Fatalf("valid request after a 413: status %d (%s)", code, body)
+	}
+}

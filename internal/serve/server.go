@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hammingmesh/internal/journal"
+	"hammingmesh/internal/obs"
 	"hammingmesh/internal/runner"
 )
 
@@ -20,6 +21,11 @@ const (
 	DefaultBatchSize  = 8
 	DefaultMaxWait    = 2 * time.Millisecond
 )
+
+// maxRequestBytes bounds an experiment request body; a longer body is
+// answered with 413 before it is decoded any further. Canonical requests
+// are a few hundred bytes, so the bound only stops hostile input.
+const maxRequestBytes = 1 << 20
 
 // errQueueFull is the backpressure signal: the batch queue rejected the
 // request, the handler answers 429 + Retry-After.
@@ -49,7 +55,7 @@ type Config struct {
 	// builds a private one. cmd/hxd passes obs.Default() so daemon, pool
 	// and engine series land in one /metrics scrape; tests leave it nil
 	// for isolation.
-	Registry *Registry
+	Registry *obs.Registry
 	// Pprof mounts net/http/pprof handlers under /debug/pprof/ when set.
 	Pprof bool
 	// JournalDir enables the durable job journal (cmd/hxd -journal-dir):
@@ -82,7 +88,7 @@ type call struct {
 type Server struct {
 	cache   *Cache
 	batcher *Batcher
-	metrics *Registry
+	metrics *obs.Registry
 	mux     *http.ServeMux
 
 	mu       sync.Mutex
@@ -95,9 +101,9 @@ type Server struct {
 	// re-run through the batcher. Zero without a journal.
 	ReplayedResults, ReplayedPending int
 
-	hits, misses, coalesced, rejected, computations, errored *Counter
-	journalErrors                                            *Counter
-	queueHist, computeHist, totalHist                        *Histogram
+	hits, misses, coalesced, rejected, computations, errored *obs.Counter
+	journalErrors                                            *obs.Counter
+	queueHist, computeHist, totalHist                        *obs.Histogram
 }
 
 // New builds a Server and starts its batcher. Call Close to drain it.
@@ -125,7 +131,7 @@ func New(cfg Config) (*Server, error) {
 
 	reg := cfg.Registry
 	if reg == nil {
-		reg = NewRegistry()
+		reg = obs.NewRegistry()
 	}
 	s := &Server{
 		cache:    NewCache(cfg.CacheBytes),
@@ -275,7 +281,7 @@ func (s *Server) Close() {
 }
 
 // Metrics exposes the registry (examples, tests).
-func (s *Server) Metrics() *Registry { return s.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // CacheStats exposes result-cache occupancy and traffic counters.
 func (s *Server) CacheStats() (entries int, bytes, hits, misses, evictions int64) {
@@ -292,6 +298,8 @@ func (s *Server) fail(w http.ResponseWriter, kind string, code int, err error) {
 	switch code {
 	case http.StatusBadRequest:
 		status = "bad_request"
+	case http.StatusRequestEntityTooLarge:
+		status = "too_large"
 	case http.StatusTooManyRequests:
 		status = "rejected"
 		w.Header().Set("Retry-After", "1")
@@ -304,11 +312,16 @@ func (s *Server) fail(w http.ResponseWriter, kind string, code int, err error) {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, "unknown", http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, "unknown", code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	cn, err := Canonicalize(req)
